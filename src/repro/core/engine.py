@@ -6,6 +6,10 @@ and materializes MTTONs.  Top-k queries use the paper's thread-pool
 strategy: a thread per candidate network, smaller CNs first (they are
 cheaper *and* produce higher-ranked results), all threads sharing a
 global result budget of K.
+
+CN generation and CTSSN reduction read only the schema, the schema
+nodes each keyword hits and Z, so they run once per such signature and
+are cached per engine (:mod:`repro.core.frontcache`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from ..schema.tss import TSSGraph
 from ..storage.decomposer import LoadedDatabase
 from ..storage.relations import RelationStore
 from ..storage.stmtcache import CompiledStatementCache
-from ..trace import NULL_TRACER, QueryTrace, Span
-from .cn_generator import CandidateNetwork, CNGenerator
-from .ctssn import CTSSN, reduce_to_ctssn
+from ..trace import NULL_TRACE, NULL_TRACER, QueryTrace, Span
+from .cn_generator import CandidateNetwork
+from .ctssn import CTSSN
 from .execution import (
     BACKEND_SQL,
     CTSSNExecutor,
@@ -36,6 +40,14 @@ from .execution import (
     TopKBound,
     assign_shared_prefixes,
     resolve_shards,
+)
+from .frontcache import (
+    FrontHalfCache,
+    bind_ctssns,
+    bind_networks,
+    build_template,
+    front_half_signature,
+    template_networks,
 )
 from .matching import ContainingLists
 from .optimizer import Optimizer
@@ -63,6 +75,10 @@ class SearchResult:
     keys staleness off these under live updates."""
     epoch: int = 0
     """The loaded database's mutation epoch when this search ran."""
+    front_half_cache: str | None = None
+    """``"hit"`` or ``"miss"`` in the engine's front-half cache (see
+    :mod:`repro.core.frontcache`); ``None`` when the search ended at
+    keyword matching."""
 
     def top(self, count: int) -> list[MTTON]:
         """First ``count`` ranked results."""
@@ -197,6 +213,7 @@ class XKeyword:
         self.tracer = tracer or NULL_TRACER
         self.optimizer = Optimizer(self.stores, loaded.statistics)
         self.statement_cache = statement_cache or CompiledStatementCache()
+        self.front_half_cache = FrontHalfCache()
 
     # ------------------------------------------------------------------
     # Pipeline stages, individually exposed for tests and examples
@@ -210,24 +227,14 @@ class XKeyword:
     ) -> list[CandidateNetwork]:
         """Stage 2 (Fig 7): generate candidate networks on the schema graph."""
         containing = containing or self.containing_lists(query)
-        generator = CNGenerator(self.loaded.catalog.schema, containing.schema_nodes())
-        networks = generator.generate(query)
-        if self.verifier is not None:
-            for cn in networks:
-                self.verifier.check_cn(cn, query.keywords)
-        return networks
+        return self._front_half(query, containing)[0]
 
     def candidate_tss_networks(
         self, query: KeywordQuery, containing: ContainingLists | None = None
     ) -> list[CTSSN]:
         """Stage 3 (Fig 7): reduce CNs to candidate TSS networks."""
         containing = containing or self.containing_lists(query)
-        ctssns = [
-            reduce_to_ctssn(cn, self.loaded.catalog.tss)
-            for cn in self.candidate_networks(query, containing)
-        ]
-        self._verify_ctssns(ctssns, query)
-        return ctssns
+        return self._front_half(query, containing)[1]
 
     def plan(
         self,
@@ -243,20 +250,72 @@ class XKeyword:
             span: Optional trace span the optimizer annotates with the
                 chosen relations, join count and anchor.
         """
-        role_costs = {
-            role: len(containing.allowed_tos(constraints))
-            for role, constraints in ctssn.keyword_roles()
-        }
-        return self._verified_plan(self.optimizer.plan(ctssn, role_costs, span=span))
+        return self._plan(ctssn, self._role_costs(ctssn, containing), span)
 
-    def _verify_ctssns(self, ctssns: list[CTSSN], query: KeywordQuery) -> None:
+    def _front_half(
+        self,
+        query: KeywordQuery,
+        containing: ContainingLists,
+        trace=NULL_TRACE,
+        metrics: ExecutionMetrics | None = None,
+    ) -> tuple[list[CandidateNetwork], list[CTSSN], str]:
+        """Stages 2-3 through the front-half cache.
+
+        Returns the bound CNs, their CTSSNs (both byte-identical to a
+        cold generation) and the cache outcome, ``"hit"`` or ``"miss"``.  A
+        miss generates and reduces once over placeholder keywords; the
+        ``cn_generation`` and ``ctssn_reduction`` spans and stages time
+        the two halves either way.  A verifier checks every bound
+        network, hit or miss.
+        """
+        metrics = metrics if metrics is not None else ExecutionMetrics()
+        signature = front_half_signature(query, containing)
+
+        span = trace.span("cn_generation")
+        started = time.perf_counter()
+        template = self.front_half_cache.get(signature)
+        outcome = "miss" if template is None else "hit"
+        placeholder_networks = (
+            template_networks(self.loaded.catalog.schema, signature)
+            if template is None
+            else template.networks
+        )
+        networks, order = bind_networks(placeholder_networks, query.keywords)
+        if self.verifier is not None:
+            for cn in networks:
+                self.verifier.check_cn(cn, query.keywords)
+        metrics.record_stage("cn_generation", time.perf_counter() - started)
+        span.annotate(networks=len(networks), cache=outcome)
+        span.finish()
+
+        span = trace.span("ctssn_reduction")
+        started = time.perf_counter()
+        if template is None:
+            template = build_template(placeholder_networks, self.loaded.catalog.tss)
+            self.front_half_cache.put(signature, template)
+        ctssns = bind_ctssns(template.ctssns, query.keywords, networks, order)
         if self.verifier is not None:
             for ctssn in ctssns:
                 self.verifier.check_ctssn(
                     ctssn, query.keywords, self.loaded.catalog.tss
                 )
+        metrics.record_stage("ctssn_reduction", time.perf_counter() - started)
+        span.annotate(ctssns=len(ctssns))
+        span.finish()
+        return networks, ctssns, outcome
 
-    def _verified_plan(self, plan: ExecutionPlan) -> ExecutionPlan:
+    @staticmethod
+    def _role_costs(ctssn: CTSSN, containing: ContainingLists) -> dict[int, int]:
+        """Admissible target objects per annotated role (planner input)."""
+        return {
+            role: len(containing.allowed_tos(constraints))
+            for role, constraints in ctssn.keyword_roles()
+        }
+
+    def _plan(
+        self, ctssn: CTSSN, role_costs: dict[int, int], span: Span | None = None
+    ) -> ExecutionPlan:
+        plan = self.optimizer.plan(ctssn, role_costs, span=span)
         if self.verifier is not None:
             self.verifier.check_plan(plan, self.stores)
         return plan
@@ -412,10 +471,7 @@ class XKeyword:
             return
         ctssns = self.candidate_tss_networks(query, containing)
         role_costs_of = {
-            ctssn.canonical_key: {
-                role: len(containing.allowed_tos(constraints))
-                for role, constraints in ctssn.keyword_roles()
-            }
+            ctssn.canonical_key: self._role_costs(ctssn, containing)
             for ctssn in ctssns
         }
         ordered = sorted(
@@ -428,9 +484,7 @@ class XKeyword:
         )
         lookup_cache = ResultCache(config.cache_capacity)
         for ctssn in ordered:
-            plan = self._verified_plan(
-                self.optimizer.plan(ctssn, role_costs_of[ctssn.canonical_key])
-            )
+            plan = self._plan(ctssn, role_costs_of[ctssn.canonical_key])
             executor = self._make_executor(
                 plan,
                 containing,
@@ -485,38 +539,24 @@ class XKeyword:
         if any(not containing.keyword_tos[k] for k in query.keywords):
             return self._finish(query, result, started, trace, stream=stream)
 
-        span = trace.span("cn_generation")
-        stage_started = time.perf_counter()
-        result.candidate_networks = self.candidate_networks(query, containing)
-        metrics.record_stage("cn_generation", time.perf_counter() - stage_started)
-        span.annotate(networks=len(result.candidate_networks))
-        span.finish()
-
-        span = trace.span("ctssn_reduction")
-        stage_started = time.perf_counter()
-        result.ctssns = [
-            reduce_to_ctssn(cn, self.loaded.catalog.tss)
-            for cn in result.candidate_networks
-        ]
-        self._verify_ctssns(result.ctssns, query)
-        metrics.record_stage("ctssn_reduction", time.perf_counter() - stage_started)
-        span.annotate(ctssns=len(result.ctssns))
-        span.finish()
+        (
+            result.candidate_networks,
+            result.ctssns,
+            result.front_half_cache,
+        ) = self._front_half(query, containing, trace, metrics)
 
         # Smaller CNs first (cheaper and higher ranked, per the paper);
         # ties broken by the statistics-estimated result count.  The
         # estimates are kept so EXPLAIN can show estimated vs. actual
-        # cardinality per candidate network.
+        # cardinality per candidate network.  The role costs feed the
+        # planner too, so each (CTSSN, role) is evaluated once; they are
+        # keyed by object because the canonical key ignores role numbering.
         role_costs_of = {
-            ctssn.canonical_key: {
-                role: len(containing.allowed_tos(constraints))
-                for role, constraints in ctssn.keyword_roles()
-            }
-            for ctssn in result.ctssns
+            id(ctssn): self._role_costs(ctssn, containing) for ctssn in result.ctssns
         }
         estimates = {
             ctssn.canonical_key: self.optimizer.estimate_results(
-                ctssn, role_costs_of[ctssn.canonical_key]
+                ctssn, role_costs_of[id(ctssn)]
             )
             for ctssn in result.ctssns
         }
@@ -542,7 +582,7 @@ class XKeyword:
             plan_span = cn_span.child("plan")
             stage_started = time.perf_counter()
             try:
-                plan = self.plan(ctssn, containing, span=plan_span)
+                plan = self._plan(ctssn, role_costs_of[id(ctssn)], span=plan_span)
             finally:
                 metrics.record_stage(
                     "planning", time.perf_counter() - stage_started

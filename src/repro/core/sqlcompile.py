@@ -435,10 +435,18 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         # version guard.  The shard partition is part of the key because
         # the parameter *values* are the anchor's admitted ids: two
         # shards' subsets can have equal lengths but different members.
+        # The network is keyed by its exact roles, not its canonical key:
+        # isomorphic CTSSNs (the same keywords queried in another order)
+        # share a canonical key but number their roles differently, and
+        # the statement's columns follow the numbering.
+        ctssn = plan.ctssn
         key = (
-            plan.ctssn.canonical_key,
+            (ctssn.network.labels, ctssn.network.edges, ctssn.annotations),
             plan.anchor_role,
-            tuple((step.relation_name, step.store_name) for step in plan.steps),
+            tuple(
+                (step.relation_name, step.store_name, step.piece.role_map)
+                for step in plan.steps
+            ),
             tuple(
                 (role, len(allowed))
                 for role, allowed in sorted(self.role_filters.items())

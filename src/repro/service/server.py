@@ -82,6 +82,36 @@ from .metrics import STAGE_BUCKETS, MetricsRegistry
 from .singleflight import Flight, SingleFlight
 
 
+MAX_QUERY_SIZE = 10
+"""Largest Z a request may ask for.  CN generation grows ~3.3x per step
+of Z (1.5 s at Z = 10 on DBLP, tens of seconds at Z = 12), and every
+distinct (signature, Z) pair takes a slot in the engine's front-half
+cache; 10 is the largest Z any in-repo benchmark uses."""
+
+MAX_QUERY_KEYWORDS = 5
+"""Most keywords a request may carry: CN generation enumerates keyword
+subsets per role, so its cost grows exponentially in this count."""
+
+
+def bounded_query(keywords: list[str], max_size: int) -> KeywordQuery:
+    """Build a request's query, refusing front-half work past the caps.
+
+    Raises:
+        ValueError: ``max_size`` above :data:`MAX_QUERY_SIZE` or more
+            than :data:`MAX_QUERY_KEYWORDS` keywords (HTTP answers 400).
+    """
+    if max_size > MAX_QUERY_SIZE:
+        raise ValueError(
+            f"max_size {max_size} exceeds the service limit of {MAX_QUERY_SIZE}"
+        )
+    if len(keywords) > MAX_QUERY_KEYWORDS:
+        raise ValueError(
+            f"{len(keywords)} keywords exceed the service limit of "
+            f"{MAX_QUERY_KEYWORDS}"
+        )
+    return KeywordQuery(tuple(keywords), max_size=max_size)
+
+
 class MutationsDisabledError(Exception):
     """Raised when a mutation hits a read-only (graph-less) database."""
 
@@ -183,6 +213,14 @@ class _EngineInstrumentation(ExecutionObserver):
             "repro_cns_pruned_total",
             "Candidate networks skipped by the global top-k bound",
         )
+        self._front_half = {
+            "hit": registry.counter(
+                "repro_cache_hits_total", "Cache hits, by cache layer", layer="cn"
+            ),
+            "miss": registry.counter(
+                "repro_cache_misses_total", "Cache misses, by cache layer", layer="cn"
+            ),
+        }
         self._shard_results = lambda shard: registry.counter(
             "repro_shard_results_total",
             "Results produced per shard by scattered searches",
@@ -206,6 +244,8 @@ class _EngineInstrumentation(ExecutionObserver):
             self._cns_pruned.inc(result.metrics.cns_pruned)
         for stage, stage_seconds in result.metrics.stage_seconds.items():
             self._stage_seconds(stage).observe(stage_seconds)
+        if result.front_half_cache is not None:
+            self._front_half[result.front_half_cache].inc()
         for shard, shard_results in result.metrics.shard_results.items():
             self._shard_results(shard).inc(shard_results)
             self._shard_seconds(shard).observe(
@@ -470,7 +510,7 @@ class QueryService:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        query = KeywordQuery(tuple(keywords), max_size=max_size)
+        query = bounded_query(keywords, max_size)
         mode = "all" if all_results else "topk"
         k = None if all_results else (k if k is not None else self.config.default_k)
         # One snapshot for the whole request: the cache key's fingerprint
@@ -637,7 +677,8 @@ class QueryService:
             RejectedError: Admission shed the execution (queue full) —
                 raised here, before any response bytes, so HTTP can
                 still answer 503.
-            ValueError: Unknown backend override.
+            ValueError: Unknown backend override, or a query past
+                :data:`MAX_QUERY_SIZE` / :data:`MAX_QUERY_KEYWORDS`.
         """
         prep = self._prepare_search(keywords, k, max_size, all_results, backend)
         started = time.perf_counter()
@@ -769,7 +810,7 @@ class QueryService:
             role: CTSSN role to expand after initialization, if any.
             deadline: Per-request deadline override.
         """
-
+        query = bounded_query(keywords, max_size)
         state = self._state
 
         def execute() -> dict:
@@ -778,7 +819,6 @@ class QueryService:
                 return navigate()
 
         def navigate() -> dict:
-            query = KeywordQuery(tuple(keywords), max_size=max_size)
             engine = state.engine
             containing = engine.containing_lists(query)
             ctssns = engine.candidate_tss_networks(query, containing)

@@ -203,6 +203,23 @@ class TestStatementCache:
         assert stats["invalidations"] == 1
         assert stats["misses"] == 2
 
+    def test_swapped_keyword_order_does_not_replay_statement(self, small_dblp_db):
+        """Swapping the keywords yields CTSSNs with equal canonical keys
+        but mirrored role numbering; a statement compiled for one order
+        must not answer the other."""
+        engine = XKeyword(small_dblp_db)
+        config = ExecutorConfig(backend="sql")
+        for keywords in (("abiteboul", "balmin23"), ("balmin23", "abiteboul")):
+            query = KeywordQuery(keywords, max_size=8)
+            fresh = XKeyword(small_dblp_db).search(
+                query, k=1, config=config, parallel=False
+            )
+            shared = engine.search(query, k=1, config=config, parallel=False)
+            assert [m.assignment for m in shared.mttons] == [
+                m.assignment for m in fresh.mttons
+            ]
+            assert shared.mttons
+
     def test_lru_eviction_and_clear(self):
         cache = CompiledStatementCache(capacity=2)
         cache.put("a", 1)

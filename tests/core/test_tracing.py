@@ -32,6 +32,18 @@ class TestSpanTreeContents:
             result.candidate_networks
         )
 
+    def test_cn_generation_span_reports_front_half_cache(self, small_dblp_db):
+        engine = traced_engine(small_dblp_db)
+        swapped = KeywordQuery(DBLP_QUERY.keywords[::-1], max_size=6)
+        outcomes = []
+        for query in (DBLP_QUERY, DBLP_QUERY, swapped):
+            result = engine.search(query, k=5, parallel=False)
+            (span,) = [s for s in result.trace.root.children if s.name == "cn_generation"]
+            assert span.attributes["cache"] == result.front_half_cache
+            outcomes.append(result.front_half_cache)
+        # Both orders hit one {aname} x {aname} signature.
+        assert outcomes == ["miss", "hit", "hit"]
+
     def test_cn_spans_pair_estimates_with_actuals(self, figure1_db):
         engine = traced_engine(figure1_db)
         result = engine.search("john vcr", k=50, parallel=False)

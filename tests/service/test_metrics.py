@@ -1,10 +1,13 @@
 """Tests for the dependency-free metrics registry."""
 
 import threading
+import urllib.request
 
 import pytest
 
-from repro.service import MetricsRegistry
+from repro.service import MetricsRegistry, QueryService, ServiceConfig
+
+from .test_server import post_search, start_server
 
 
 class TestCounter:
@@ -93,6 +96,31 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("weird_total", label='say "hi"\n').inc()
         assert 'label="say \\"hi\\"\\n"' in registry.render()
+
+
+class TestCacheLayerCounters:
+    def test_front_half_cache_hits_and_misses_on_metrics(self, small_dblp_db):
+        """A new signature misses the engine's front-half cache; the same
+        signature under another k (a query-cache miss) or keyword order
+        hits it."""
+        service = QueryService(small_dblp_db, ServiceConfig(workers=2))
+        server, base = start_server(service)
+        try:
+            for body in (
+                {"keywords": ["smith", "balmin"], "k": 5, "max_size": 6},
+                {"keywords": ["smith", "balmin"], "k": 3, "max_size": 6},
+                {"keywords": ["balmin", "smith"], "k": 2, "max_size": 6},
+            ):
+                post_search(base, body)
+            with urllib.request.urlopen(f"{base}/metrics", timeout=10.0) as response:
+                text = response.read().decode()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert "# TYPE repro_cache_hits_total counter" in text
+        assert 'repro_cache_misses_total{layer="cn"} 1' in text
+        assert 'repro_cache_hits_total{layer="cn"} 2' in text
 
 
 @pytest.mark.stress

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import ExecutionMetrics, KeywordQuery, SearchResult
 from repro.service import QueryService, ServiceConfig, XKeywordHTTPServer
+from repro.service.server import MAX_QUERY_KEYWORDS, MAX_QUERY_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +126,17 @@ class TestSearchEndpoint:
             urllib.request.urlopen(request, timeout=10.0)
         assert excinfo.value.code == 400
 
+    def test_front_half_caps_are_400(self, served):
+        _, base = served
+        for body, message in (
+            ({"q": "smith balmin", "max_size": MAX_QUERY_SIZE + 1}, "max_size"),
+            ({"keywords": [f"w{i}" for i in range(MAX_QUERY_KEYWORDS + 1)]}, "keywords"),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_search(base, body)
+            assert excinfo.value.code == 400
+            assert message in json.loads(excinfo.value.read())["error"]
+
     def test_unknown_path_is_404(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -225,6 +237,18 @@ class TestExpandEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(base, "/expand?q=zzzzzzz")
         assert excinfo.value.code == 404
+
+    def test_front_half_caps_are_400(self, served):
+        _, base = served
+        too_many = "+".join(f"w{i}" for i in range(MAX_QUERY_KEYWORDS + 1))
+        for path, message in (
+            (f"/expand?q=smith+balmin&max_size={MAX_QUERY_SIZE + 1}", "max_size"),
+            (f"/expand?q={too_many}", "keywords"),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_json(base, path)
+            assert excinfo.value.code == 400
+            assert message in json.loads(excinfo.value.read())["error"]
 
     def test_missing_q_400(self, served):
         _, base = served

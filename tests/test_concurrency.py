@@ -1,10 +1,13 @@
 """Thread-safety stress tests for the engine and storage layers."""
 
+import random
+import sys
 import threading
 
 import pytest
 
 from repro.core import KeywordQuery, ResultCache, XKeyword
+from repro.core.frontcache import FRONT_HALF_CACHE_CAPACITY, front_half_signature
 
 pytestmark = pytest.mark.stress
 
@@ -111,3 +114,75 @@ class TestResultCacheThreadSafety:
         for thread in threads:
             thread.join()
         assert not mismatches, mismatches
+
+
+class TestFrontHalfCacheThreadSafety:
+    def test_concurrent_searches_fill_cache_within_capacity(self, small_dblp_db):
+        """8 threads search overlapping signatures on one engine: more
+        distinct (signature, Z) pairs than the cache holds, so entries
+        are added, hit and evicted concurrently.  Every answer must
+        equal a fresh engine's, and the cache never outgrows its bound."""
+        families = [
+            ("smith", "balmin"),
+            ("balmin", "smith"),
+            ("smith", "xml"),
+            ("xml", "smith"),
+            ("xml", "query"),
+            ("hristidis",),
+            ("query",),
+            ("vldb", "smith"),
+        ]
+        queries = [
+            KeywordQuery(keywords, max_size=z) for keywords in families for z in range(6)
+        ]
+
+        def answer(result):
+            return (
+                [cn.canonical_key for cn in result.candidate_networks],
+                [(m.ctssn.canonical_key, m.assignment) for m in result.mttons],
+            )
+
+        oracle = {
+            query: answer(XKeyword(small_dblp_db).search(query, k=5, parallel=False))
+            for query in queries
+        }
+        engine = XKeyword(small_dblp_db)
+        failures: list[str] = []
+        outcomes: list[str | None] = []
+        lock = threading.Lock()
+
+        def worker(seed: int) -> None:
+            order = list(queries)
+            random.Random(seed).shuffle(order)
+            try:
+                for query in order:
+                    result = engine.search(query, k=5, parallel=False)
+                    size = len(engine.front_half_cache)
+                    with lock:
+                        outcomes.append(result.front_half_cache)
+                        if answer(result) != oracle[query]:
+                            failures.append(f"{query}: answer differs")
+                        if size > FRONT_HALF_CACHE_CAPACITY:
+                            failures.append(f"cache holds {size} entries")
+            except BaseException as exc:  # noqa: BLE001
+                with lock:
+                    failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the cache's get/put races
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        signatures = {
+            front_half_signature(query, engine.containing_lists(query))
+            for query in queries
+        }
+        assert len(signatures) > FRONT_HALF_CACHE_CAPACITY
+        assert outcomes.count("hit") > 0 and outcomes.count("miss") > 0

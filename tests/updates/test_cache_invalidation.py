@@ -7,9 +7,12 @@ everything else keeps serving hits.
 
 from __future__ import annotations
 
+from repro.core import KeywordQuery, XKeyword
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import QueryCache
-from repro.storage import VersionVector
+from repro.storage import Database, VersionVector, load_database
+from repro.storage.master_index import tokenize
+from repro.updates import UpdateManager
 
 from .conftest import build_dblp
 
@@ -142,3 +145,53 @@ class TestServiceRetention:
         stats = service.cache.stats()
         assert stats.hits >= 12
         assert stats.invalidations == 0
+
+
+class TestFrontHalfCache:
+    def test_schema_node_change_misses_and_matches_reload(self):
+        """The engine's front-half cache needs no invalidation: a
+        mutation that moves a keyword into a new schema node changes
+        the query's signature, so the next search misses, and its
+        answer equals a full reload's."""
+        catalog, decompositions, loaded = build_dblp()
+        manager = UpdateManager(loaded)
+        engine = XKeyword(loaded)
+        title_words = {
+            word
+            for node in loaded.graph.nodes()
+            if node.label == "title" and node.value
+            for word in tokenize(node.value)
+        }
+        authors = sorted(
+            {
+                word
+                for node in loaded.graph.nodes()
+                if node.label == "aname" and node.value
+                for word in tokenize(node.value)
+            }
+            - title_words
+        )
+        query = KeywordQuery((authors[0], authors[1]), max_size=6)
+        assert engine.search(query).front_half_cache == "miss"
+        assert engine.search(query).front_half_cache == "hit"
+
+        manager.insert_document(
+            f'<paper id="fh0" ref="a1 a2"><title id="fh0t">{authors[0]} revisited'
+            '</title><pages id="fh0g">1-9</pages></paper>',
+            parent_id="c0y1",
+        )
+        after = engine.search(query)
+        assert after.front_half_cache == "miss"
+        assert engine.search(query).front_half_cache == "hit"
+
+        fresh = load_database(
+            loaded.graph, catalog, decompositions, database=Database()
+        )
+        expected = XKeyword(fresh).search(query)
+        assert [cn.canonical_key for cn in after.candidate_networks] == [
+            cn.canonical_key for cn in expected.candidate_networks
+        ]
+        assert len(after.candidate_networks) > 0
+        assert [(m.ctssn.canonical_key, m.assignment, m.score) for m in after.mttons] == [
+            (m.ctssn.canonical_key, m.assignment, m.score) for m in expected.mttons
+        ]

@@ -18,7 +18,7 @@ from repro.decomposition import (
     Decomposition,
     IndexPolicy,
     complete_decomposition,
-    inlined_only_decomposition,
+    inlined_only_from,
     minimal_decomposition,
     xkeyword_decomposition,
 )
@@ -52,13 +52,14 @@ def build_decompositions() -> list[Decomposition]:
     catalog = dblp_catalog()
     tss = catalog.tss
     m, b = SCALE.max_network_size, SCALE.max_joins
+    xkeyword = xkeyword_decomposition(tss, m, b)
     return [
-        xkeyword_decomposition(tss, m, b),
+        xkeyword,
         minimal_decomposition(tss, IndexPolicy.ALL_ROTATIONS),
         minimal_decomposition(tss, IndexPolicy.SINGLE_COLUMN_INDEXES),
         minimal_decomposition(tss, IndexPolicy.NONE),
         complete_decomposition(tss, m, b),
-        inlined_only_decomposition(tss, m, b),
+        inlined_only_from(xkeyword),
     ]
 
 

@@ -8,6 +8,12 @@ exactly ``pieces - 1`` joins for the smallest edge cover by fragment
 embeddings.  Finding that minimum cover is the NP-complete optimizer
 sub-problem the paper mentions; networks are tiny (≤ M ≤ 8 edges), so a
 branch-and-bound over embeddings decides it exactly.
+
+Two entry points share the embedding search.  :func:`min_cover` returns
+the cheapest cover and serves the optimizer.  :func:`covers_with_joins`
+answers only the yes/no question the Figure 12 algorithm asks, as a
+depth-first search over integer edge masks (bit ``i`` is network edge
+``i``) with no cost bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fragments import Fragment, TSSNetwork, find_embeddings
+from .fragments import Fragment, TSSNetwork, embedding_masks, find_embeddings
 
 
 @dataclass(frozen=True)
@@ -151,19 +157,44 @@ def min_cover(
     return best
 
 
+def masks_cover(edge_count: int, masks: set[int], max_pieces: int) -> bool:
+    """Do at most ``max_pieces`` of ``masks`` cover edges ``0..edge_count-1``?
+
+    Only maximal pieces matter: a piece inside another never helps.  The
+    search branches on the lowest uncovered edge, since some chosen piece
+    must cover it.
+    """
+    full = (1 << edge_count) - 1
+    maximal: list[int] = []
+    union = 0
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask & ~kept for kept in maximal):
+            maximal.append(mask)
+            union |= mask
+    if union & full != full:
+        return False
+    widest = maximal[0].bit_count() if maximal else 0
+
+    def search(uncovered: int, budget: int) -> bool:
+        if not uncovered:
+            return True
+        if uncovered.bit_count() > budget * widest:
+            return False
+        lowest = uncovered & -uncovered
+        return any(
+            search(uncovered & ~mask, budget - 1) for mask in maximal if mask & lowest
+        )
+
+    return search(full, max_pieces)
+
+
 def covers_with_joins(
     network: TSSNetwork, fragments: Sequence[Fragment], max_joins: int
 ) -> bool:
-    """Is ``network`` evaluable with at most ``max_joins`` joins?"""
-    if network.size <= max_joins + 1:
-        # Single-edge pieces suffice if each edge id has a matching
-        # single-edge fragment; the general search is then unnecessary.
-        singles = {
-            fragment.edges[0].edge_id
-            for fragment in fragments
-            if fragment.size == 1
-        }
-        if all(edge.edge_id in singles for edge in network.edges):
-            return True
-    cover = min_cover(network, fragments, max_pieces=max_joins + 1)
-    return cover is not None and len(cover) <= max_joins + 1
+    """Is ``network`` evaluable with at most ``max_joins`` joins?
+
+    Equivalent to ``min_cover(network, fragments, max_pieces=max_joins + 1)
+    is not None`` without the cost-aware search.
+    """
+    masks = set().union(*embedding_masks(network, fragments))
+    return masks_cover(network.size, masks, max_joins + 1)

@@ -283,41 +283,96 @@ def find_embeddings(fragment: TSSNetwork, network: TSSNetwork) -> Iterator[dict[
     """
     if fragment.size > network.size or fragment.role_count > network.role_count:
         return
+    plan = _search_plan(fragment)
+    found: list[dict[int, int]] = []
+    _match(
+        plan,
+        _slots(network),
+        network.labels,
+        lambda mapped, _mask: found.append(
+            {role: mapped[step] for step, (role, _, _, _) in enumerate(plan)}
+        ),
+    )
+    yield from found
 
-    fragment_order = _connected_order(fragment)
 
-    def extend(index: int, mapping: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
-        if index == len(fragment_order):
-            yield dict(mapping)
+def embedding_masks(network: TSSNetwork, fragments: Sequence[TSSNetwork]) -> list[set[int]]:
+    """Per fragment, the edge masks of its embeddings into ``network``.
+
+    Bit ``i`` of a mask is set when the embedding covers network edge
+    ``i``.  Nothing is cached on ``network``, so a caller that tests
+    thousands of networks once each holds no per-network state.
+    """
+    slots = _slots(network)
+    result: list[set[int]] = []
+    for fragment in fragments:
+        masks: set[int] = set()
+        if fragment.size <= network.size and fragment.role_count <= network.role_count:
+            _match(_search_plan(fragment), slots, network.labels, lambda _m, mask: masks.add(mask))
+        result.append(masks)
+    return result
+
+
+_Step = tuple[int, int, "tuple[str, bool] | None", str]
+
+
+def _search_plan(tree: TSSNetwork) -> tuple[_Step, ...]:
+    """``tree``'s roles in connected order as ``(role, parent step, edge
+    key, label)``; the edge key is ``(edge id, forward from the parent)``.
+    Cached on the tree, as the canonical key is.  Only pattern-side trees
+    carry one: the networks being searched get none."""
+    cached = tree.__dict__.get("_search_plan")
+    if cached is None:
+        order = _connected_order(tree)
+        step_of = {role: step for step, (role, _) in enumerate(order)}
+        steps: list[_Step] = []
+        for role, via in order:
+            if via is None:
+                steps.append((role, -1, None, tree.labels[role]))
+                continue
+            parent = via.other(role)
+            key = (via.edge_id, via.oriented_from(parent))
+            steps.append((role, step_of[parent], key, tree.labels[role]))
+        cached = tree.__dict__["_search_plan"] = tuple(steps)
+    return cached
+
+
+def _slots(network: TSSNetwork) -> list[dict[tuple[str, bool], list[tuple[int, int]]]]:
+    """Per role: ``(edge id, forward) -> [(neighbour role, edge bit)]``,
+    neighbours in network edge order."""
+    slots: list[dict[tuple[str, bool], list[tuple[int, int]]]] = [
+        {} for _ in network.labels
+    ]
+    for position, edge in enumerate(network.edges):
+        bit = 1 << position
+        slots[edge.source].setdefault((edge.edge_id, True), []).append((edge.target, bit))
+        slots[edge.target].setdefault((edge.edge_id, False), []).append((edge.source, bit))
+    return slots
+
+
+def _match(plan, slots, labels, sink) -> None:
+    """Depth-first embedding search; calls ``sink(mapped, mask)`` per
+    embedding, where ``mapped[step]`` is the network role of plan step
+    ``step`` and ``mask`` the covered network edges.  Root candidates go
+    in role order and neighbours in edge order."""
+    count = len(plan)
+    mapped = [0] * count
+
+    def extend(step: int, used: int, mask: int) -> None:
+        if step == count:
+            sink(mapped, mask)
             return
-        role, via = fragment_order[index]
-        if via is None:
-            for candidate in network.roles_with_label(fragment.labels[role]):
-                if candidate in used:
-                    continue
-                mapping[role] = candidate
-                used.add(candidate)
-                yield from extend(index + 1, mapping, used)
-                used.discard(candidate)
-                del mapping[role]
-            return
-        anchor = mapping[via.other(role)]
-        forward = via.oriented_from(via.other(role))
-        for edge in network.incident(anchor):
-            if edge.edge_id != via.edge_id:
-                continue
-            if edge.oriented_from(anchor) != forward:
-                continue
-            candidate = edge.other(anchor)
-            if candidate in used or network.labels[candidate] != fragment.labels[role]:
-                continue
-            mapping[role] = candidate
-            used.add(candidate)
-            yield from extend(index + 1, mapping, used)
-            used.discard(candidate)
-            del mapping[role]
+        _, parent, key, label = plan[step]
+        for other, bit in slots[mapped[parent]].get(key, ()):
+            if not used >> other & 1 and labels[other] == label:
+                mapped[step] = other
+                extend(step + 1, used | 1 << other, mask | bit)
 
-    yield from extend(0, {}, set())
+    root_label = plan[0][3]
+    for role, label in enumerate(labels):
+        if label == root_label:
+            mapped[0] = role
+            extend(1, 1 << role, 0)
 
 
 def _connected_order(tree: TSSNetwork) -> list[tuple[int, NetEdge | None]]:

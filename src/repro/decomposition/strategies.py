@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..schema.tss import TSSGraph
-from .cover import covers_with_joins
+from .cover import covers_with_joins, masks_cover
 from .enumerate_fragments import enumerate_fragments, enumerate_networks, subtrees_of
-from .fragments import Fragment, TSSNetwork, single_edge_fragment
-from .mvd import classify_fragment
+from .fragments import Fragment, TSSNetwork, embedding_masks, single_edge_fragment
+from .mvd import has_genuine_mvd
 from .useless import is_useless
 
 
@@ -187,6 +187,12 @@ def xkeyword_decomposition(
     4. cover the remainder with a greedy-minimal set of MVD fragments of
        size up to L.
 
+    Steps 2 and 3 run as one pass over the networks: a network's step 2
+    verdict depends only on the step 1 fragments, and step 3 visits the
+    uncovered networks in enumeration order.  Coverage is decided over
+    per-network edge masks (:func:`masks_cover`) that are dropped once
+    the network is settled; only step 4's networks keep theirs.
+
     Args:
         tss_graph: The TSS graph.
         max_network_size: M, the largest candidate TSS network size.
@@ -195,60 +201,118 @@ def xkeyword_decomposition(
             to every satisfiable network of size up to M).
     """
     size_bound = fragment_size_bound(max_network_size, max_joins)
+    max_pieces = max_joins + 1
     universe = enumerate_fragments(tss_graph, size_bound)
     chosen: list[Fragment] = []
     mvd_pool: list[Fragment] = []
     for fragment in universe:
-        if classify_fragment(fragment, tss_graph).is_mvd:
+        if has_genuine_mvd(fragment, tss_graph):
             mvd_pool.append(fragment)
         else:
             chosen.append(fragment)
+    base = list(chosen)
+    chosen_names = {fragment.relation_name for fragment in chosen}
 
     if networks is None:
         networks = enumerate_networks(tss_graph, max_network_size)
-    pending = [
-        network
-        for network in networks
-        if not covers_with_joins(network, chosen, max_joins)
-    ]
+        shapes = networks
+    else:
+        shapes = enumerate_networks(
+            tss_graph, max((network.size for network in networks), default=0)
+        )
 
-    # Step 3: larger non-MVD fragments that rescue uncovered networks.
+    eligible_by_key: dict[str, bool] = {}
+
+    def eligible(fragment: TSSNetwork) -> bool:
+        """Non-MVD and not useless; both are properties of the shape."""
+        key = fragment.canonical_key()
+        verdict = eligible_by_key.get(key)
+        if verdict is None:
+            verdict = not has_genuine_mvd(fragment, tss_graph) and not is_useless(
+                fragment, tss_graph
+            )
+            eligible_by_key[key] = verdict
+        return verdict
+
+    def union_masks(network: TSSNetwork, fragments: Sequence[Fragment]) -> set[int]:
+        return set().union(*embedding_masks(network, fragments))
+
+    def covered_with(network: TSSNetwork, masks: set[int], extra: set[int]) -> bool:
+        """Do ``masks`` plus ``extra`` cover a network ``masks`` alone does not?"""
+        return not extra <= masks and masks_cover(network.size, masks | extra, max_pieces)
+
+    # Every eligible subtree of a network is itself a satisfiable network
+    # of size <= M, so step 3 can only ever add one of these shapes.
+    open_rescuers = [
+        shape for shape in shapes if shape.size > size_bound and eligible(shape)
+    ]
+    rescuers: list[Fragment] = []
+
+    # Steps 2 and 3: larger non-MVD fragments that rescue uncovered networks.
     still_pending: list[TSSNetwork] = []
-    for network in pending:
-        candidates = [
-            fragment
-            for fragment in subtrees_of(network, size_bound + 1, network.size)
-            if not classify_fragment(fragment, tss_graph).is_mvd
-            and not is_useless(fragment, tss_graph)
-        ]
-        rescued = False
-        existing = {f.relation_name for f in chosen}
-        # Prefer the smallest helpful fragment to limit space.
-        for fragment in sorted(candidates, key=lambda f: f.size):
-            if fragment.relation_name in existing:
-                continue
-            if covers_with_joins(network, chosen + [fragment], max_joins):
-                chosen.append(fragment)
-                rescued = True
-                break
-        if not rescued and not covers_with_joins(network, chosen, max_joins):
+    pending_masks: list[tuple[int, ...]] = []
+    for network in networks:
+        masks = union_masks(network, base)
+        if masks_cover(network.size, masks, max_pieces):
+            continue
+        extra = union_masks(network, rescuers)
+        covered = covered_with(network, masks, extra)
+        masks |= extra
+        # Without an unchosen eligible subtree there is nothing to add, so
+        # skip enumerating the subtrees.
+        if open_rescuers and any(embedding_masks(network, open_rescuers)):
+            candidates = [
+                fragment
+                for fragment in subtrees_of(network, size_bound + 1, network.size)
+                if eligible(fragment)
+            ]
+            # Prefer the smallest helpful fragment to limit space.  A
+            # network already covered by earlier additions still takes
+            # the first unchosen candidate (DESIGN.md fidelity notes).
+            for fragment in sorted(candidates, key=lambda f: f.size):
+                if fragment.relation_name in chosen_names:
+                    continue
+                if covered or covered_with(
+                    network, masks, union_masks(network, [fragment])
+                ):
+                    chosen.append(fragment)
+                    chosen_names.add(fragment.relation_name)
+                    rescuers.append(fragment)
+                    open_rescuers = [
+                        shape
+                        for shape in open_rescuers
+                        if shape.relation_name != fragment.relation_name
+                    ]
+                    covered = True
+                    break
+        if not covered:
             still_pending.append(network)
+            pending_masks.append(tuple(masks))
 
     # Step 4: greedy-minimal MVD fragments for whatever remains.  The
-    # per-fragment contribution sets are computed once against the base
-    # fragment set (coverage is monotone in the fragment set), then the
-    # classic greedy set cover runs on those sets; a final incremental
-    # sweep catches networks only coverable by *combinations* of the
-    # newly added MVD fragments.
+    # per-fragment contribution sets are computed once against the
+    # fragment set after step 3 (coverage is monotone in the fragment
+    # set), then the classic greedy set cover runs on those sets; a final
+    # incremental sweep catches networks only coverable by *combinations*
+    # of the newly added MVD fragments.
     if still_pending:
-        contribution: dict[str, set[int]] = {}
-        for fragment in mvd_pool:
-            contribution[fragment.relation_name] = {
-                position
-                for position, network in enumerate(still_pending)
-                if covers_with_joins(network, chosen + [fragment], max_joins)
-            }
+        contribution: dict[str, set[int]] = {
+            fragment.relation_name: set() for fragment in mvd_pool
+        }
+        for position, network in enumerate(still_pending):
+            # Fragments rescued after this network was visited count too.
+            masks = set(pending_masks[position])
+            extra = union_masks(network, rescuers)
+            covered = covered_with(network, masks, extra)
+            masks |= extra
+            pending_masks[position] = tuple(masks)
+            for fragment, fragment_masks in zip(
+                mvd_pool, embedding_masks(network, mvd_pool)
+            ):
+                if covered or covered_with(network, masks, fragment_masks):
+                    contribution[fragment.relation_name].add(position)
         uncovered = set(range(len(still_pending)))
+        greedy: list[Fragment] = []
         while uncovered:
             best_fragment = max(
                 mvd_pool,
@@ -261,30 +325,46 @@ def xkeyword_decomposition(
             ):
                 break
             chosen.append(best_fragment)
+            greedy.append(best_fragment)
             mvd_pool = [
                 f for f in mvd_pool if f.relation_name != best_fragment.relation_name
             ]
             uncovered -= contribution[best_fragment.relation_name]
         if uncovered:
             # Combination sweep: re-test stragglers against the grown set.
+            straggler_masks = {
+                position: set(pending_masks[position])
+                | union_masks(still_pending[position], greedy)
+                for position in uncovered
+            }
             uncovered = {
                 position
                 for position in uncovered
-                if not covers_with_joins(still_pending[position], chosen, max_joins)
+                if not masks_cover(
+                    still_pending[position].size,
+                    straggler_masks[position],
+                    max_pieces,
+                )
             }
             for fragment in list(mvd_pool):
                 if not uncovered:
                     break
+                added = {
+                    position: union_masks(still_pending[position], [fragment])
+                    for position in uncovered
+                }
                 rescued = {
                     position
                     for position in uncovered
-                    if covers_with_joins(
-                        still_pending[position], chosen + [fragment], max_joins
+                    if covered_with(
+                        still_pending[position], straggler_masks[position], added[position]
                     )
                 }
                 if rescued:
                     chosen.append(fragment)
                     uncovered -= rescued
+                    for position in uncovered:
+                        straggler_masks[position] |= added[position]
 
     # Definition 5.2 validity: every TSS edge must appear somewhere.
     used_edges = {edge.edge_id for fragment in chosen for edge in fragment.edges}
@@ -311,11 +391,22 @@ def inlined_only_decomposition(
 
     Figure 16(b) compares presentation-graph expansion over the pure
     "inlined, non-MVD" decomposition against the minimal one: adjacency
-    probes must then pay for the wider relations.  Single-edge fragments
-    are kept only where an edge appears in no wider fragment (otherwise
-    Definition 5.2 validity would break).
+    probes must then pay for the wider relations.  See
+    :func:`inlined_only_from`.
     """
-    xkeyword = xkeyword_decomposition(tss_graph, max_network_size, max_joins)
+    return inlined_only_from(
+        xkeyword_decomposition(tss_graph, max_network_size, max_joins)
+    )
+
+
+def inlined_only_from(xkeyword: Decomposition) -> Decomposition:
+    """The "Inlined" decomposition derived from a built XKeyword one.
+
+    Single-edge fragments are kept only where an edge appears in no
+    wider fragment (otherwise Definition 5.2 validity would break).
+    Callers that already hold the XKeyword decomposition use this to
+    avoid running the Figure 12 algorithm a second time.
+    """
     wide = [fragment for fragment in xkeyword.fragments if fragment.size > 1]
     covered = {edge.edge_id for fragment in wide for edge in fragment.edges}
     keep = list(wide) + [

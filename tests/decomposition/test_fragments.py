@@ -1,15 +1,24 @@
 """Unit tests for role-labeled trees, canonical forms, embeddings."""
 
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decomposition import (
     Fragment,
     NetEdge,
     NetworkError,
     TSSNetwork,
+    embedding_masks,
+    enumerate_fragments,
+    enumerate_networks,
     find_embeddings,
     single_edge_fragment,
 )
+from repro.schema import get_catalog
 
 
 def chain(tss, *edge_ids):
@@ -167,3 +176,41 @@ class TestEmbeddings:
         person_order = single_edge_fragment(tpch.tss, "Person=>Order")
         order_line = single_edge_fragment(tpch.tss, "Order=>Lineitem")
         assert list(find_embeddings(person_order, order_line)) == []
+
+
+@lru_cache(maxsize=None)
+def small_trees(catalog: str):
+    tss = get_catalog(catalog).tss
+    return enumerate_networks(tss, 4), enumerate_fragments(tss, 3)
+
+
+def brute_force_embeddings(fragment, network):
+    """Every injective role map that preserves labels and oriented edges,
+    found by trying all of them, with the network edges each one covers."""
+    position = {
+        (edge.source, edge.target, edge.edge_id): index
+        for index, edge in enumerate(network.edges)
+    }
+    found = []
+    for image in permutations(range(network.role_count), fragment.role_count):
+        if any(network.labels[image[r]] != fragment.labels[r] for r in range(len(image))):
+            continue
+        keys = [(image[e.source], image[e.target], e.edge_id) for e in fragment.edges]
+        if all(key in position for key in keys):
+            mask = sum(1 << position[key] for key in keys)
+            found.append((dict(enumerate(image)), mask))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("dblp", "tpch", "xmark")), st.data())
+def test_embedding_search_matches_brute_force(catalog, data):
+    networks, fragments = small_trees(catalog)
+    network = data.draw(st.sampled_from(networks))
+    fragment = data.draw(st.sampled_from(fragments))
+    expected = brute_force_embeddings(fragment, network)
+    found = list(find_embeddings(fragment, network))
+    assert sorted(map(sorted, (m.items() for m in found))) == sorted(
+        sorted(m.items()) for m, _ in expected
+    )
+    assert embedding_masks(network, [fragment]) == [{mask for _, mask in expected}]

@@ -13,7 +13,8 @@ Views are not writable, so writes are intercepted and routed:
 * ``INSERT`` — each row goes to exactly one shard, chosen by the
   partition hash of the table's scatter column (the same
   :func:`~repro.sharding.shardset.scatter_column` policy used when the
-  shards were created);
+  shards were created); ``copy_rows`` (a table-to-table copy) reads the
+  source through its gather view and routes each row the same way;
 * ``DELETE`` / ``UPDATE`` — broadcast to every shard; the returned
   cursor aggregates ``rowcount`` so callers that bill deletions (the
   master index's ``remove_entries``) see the global count;
@@ -199,7 +200,7 @@ class ShardedDatabase(Database):
             if "VALUES" not in sql.upper():
                 raise NotImplementedError(
                     "sharded INSERT ... SELECT is not supported; "
-                    "insert explicit rows so they can be routed"
+                    "insert explicit rows (or use copy_rows) so they can be routed"
                 )
             shard = self._owner(match.group(1), params)
             cursor = self.connection.execute(
@@ -250,6 +251,20 @@ class ShardedDatabase(Database):
                 self._qualify(sql, match.start(1), shard), batch
             )
             self._count_writes(shard, len(batch))
+
+    def copy_rows(self, target: str, source: str, columns: Sequence[str]) -> None:
+        """Copy ``source`` into ``target``, routing every row by ``target``'s policy.
+
+        A row's owning shard in ``target`` can differ from its shard in
+        ``source`` (a rotation copy scatters on a different leading
+        column), so rows are read through the gather view and inserted
+        with the same routing as :meth:`executemany`.
+        """
+        placeholders = ", ".join("?" for _ in columns)
+        self.executemany(
+            f"INSERT OR IGNORE INTO {target} VALUES ({placeholders})",
+            self.query(f"SELECT {', '.join(columns)} FROM {source}"),
+        )
 
     # ------------------------------------------------------------------
     # introspection (main's sqlite_master is empty; consult shard 0)

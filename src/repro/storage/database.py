@@ -71,6 +71,21 @@ class Database:
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> None:
         self.connection.executemany(sql, rows)
 
+    def copy_rows(self, target: str, source: str, columns: Sequence[str]) -> None:
+        """Copy every row of table ``source`` into table ``target``.
+
+        ``columns`` are ``target``'s columns in declared order; ``source``
+        has columns of the same names.  The copy runs inside SQLite
+        (``INSERT ... SELECT``, no ``ORDER BY``), so rows arrive in
+        ``source``'s scan order without passing through Python.  Rows
+        ``target`` already holds are kept.
+        """
+        names = ", ".join(quote_identifier(column) for column in columns)
+        self.execute(
+            f"INSERT OR IGNORE INTO {quote_identifier(target)} ({names}) "
+            f"SELECT {names} FROM {quote_identifier(source)}"
+        )
+
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
         if self.simulated_latency > 0.0:
             time.sleep(self.simulated_latency)

@@ -78,10 +78,7 @@ class LoadedDatabase:
 
     def add_decomposition(self, decomposition: Decomposition) -> RelationStore:
         """Load one more decomposition into the same database."""
-        store = RelationStore(self.database, decomposition)
-        store.create()
-        counts = store.load(self.to_graph)
-        self.report.relation_rows[decomposition.name] = counts
+        store = _load_relations(self.database, decomposition, self.to_graph, self.report)
         self.stores[decomposition.name] = store
         return store
 
@@ -133,15 +130,10 @@ def load_database(
 
     statistics = Statistics.from_target_object_graph(to_graph)
 
-    stores: dict[str, RelationStore] = {}
-    for decomposition in decompositions:
-        started = time.perf_counter()
-        store = RelationStore(database, decomposition)
-        store.create()
-        counts = store.load(to_graph)
-        report.relation_rows[decomposition.name] = counts
-        report.seconds[f"relations:{decomposition.name}"] = time.perf_counter() - started
-        stores[decomposition.name] = store
+    stores = {
+        decomposition.name: _load_relations(database, decomposition, to_graph, report)
+        for decomposition in decompositions
+    }
 
     return LoadedDatabase(
         catalog=catalog,
@@ -155,3 +147,28 @@ def load_database(
         report=report,
         index_tags=index_tags,
     )
+
+
+def _load_relations(
+    database: Database,
+    decomposition: Decomposition,
+    to_graph: TargetObjectGraph,
+    report: LoadReport,
+) -> RelationStore:
+    """Create and fill one decomposition's relations, recording the time.
+
+    ``report.seconds["relations:<name>"]`` is the whole step (DDL,
+    enumeration, inserts, rotation copies, commit);
+    ``"relations:<name>:<phase>"`` splits it by
+    :data:`~repro.storage.relations.LOAD_PHASES`.
+    """
+    started = time.perf_counter()
+    store = RelationStore(database, decomposition)
+    store.create()
+    phases: dict[str, float] = {}
+    report.relation_rows[decomposition.name] = store.load(to_graph, phases)
+    key = f"relations:{decomposition.name}"
+    report.seconds[key] = time.perf_counter() - started
+    for phase, seconds in phases.items():
+        report.seconds[f"{key}:{phase}"] = seconds
+    return store

@@ -21,13 +21,17 @@ the same fragment under the same policy reuse the same tables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
 
 from ..decomposition.fragments import Fragment
 from ..decomposition.strategies import Decomposition, IndexPolicy
 from .database import Database, quote_identifier
 from .target_objects import TargetObjectGraph
+
+LOAD_PHASES = ("enumerate", "base_insert", "rotation_copy")
+"""The phases :meth:`RelationStore.load` times, in the order they run."""
 
 _POLICY_CODES = {
     IndexPolicy.ALL_ROTATIONS: "cl",
@@ -40,12 +44,18 @@ def fragment_instances(
     fragment: Fragment,
     to_graph: TargetObjectGraph,
     anchor: tuple[int, str] | None = None,
-) -> Iterator[tuple[str, ...]]:
+) -> list[tuple[str, ...]]:
     """All embeddings of a fragment into the target-object graph.
 
     Rows are tuples of target-object ids in role order; roles must bind
     distinct target objects (a fragment instance is a *subgraph* of the
-    target-object graph).
+    target-object graph).  Each embedding appears once, in no particular
+    order.
+
+    Enumeration is level-wise: roles are visited breadth-first from a
+    start role, and the whole list of partial rows is extended over one
+    tree edge at a time through the graph's adjacency, dropping any
+    candidate the partial row already binds.
 
     Args:
         anchor: Optional ``(role, to_id)`` pair pinning one role to one
@@ -55,45 +65,41 @@ def fragment_instances(
             recompute only rows touched by a delta.
     """
     start = anchor[0] if anchor is not None else 0
-    order: list[tuple[int, object]] = [(start, None)]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        role = frontier.pop()
+    # Visit order: every later role hangs off an earlier one by one edge;
+    # a step is (position of that earlier role in a partial row, edge
+    # id, whether the walk follows the edge forward).
+    order = [start]
+    position = {start: 0}
+    steps: list[tuple[int, str, bool]] = []
+    visited = 0
+    while visited < len(order):
+        role = order[visited]
+        visited += 1
         for edge in fragment.incident(role):
             nxt = edge.other(role)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append((nxt, edge))
-                frontier.append(nxt)
+            if nxt not in position:
+                position[nxt] = len(order)
+                order.append(nxt)
+                steps.append((position[role], edge.edge_id, edge.oriented_from(role)))
 
-    assignment: dict[int, str] = {}
-
-    def extend(index: int) -> Iterator[tuple[str, ...]]:
-        if index == len(order):
-            yield tuple(assignment[role] for role in range(fragment.role_count))
-            return
-        role, via = order[index]
-        if via is None:
-            if anchor is not None:
-                candidates = [anchor[1]]
-            else:
-                candidates = to_graph.target_objects(fragment.labels[role])
-        else:
-            bound = assignment[via.other(role)]  # type: ignore[union-attr]
-            if via.oriented_from(via.other(role)):  # type: ignore[union-attr]
-                candidates = to_graph.targets(via.edge_id, bound)  # type: ignore[union-attr]
-            else:
-                candidates = to_graph.sources(via.edge_id, bound)  # type: ignore[union-attr]
-        taken = set(assignment.values())
-        for candidate in candidates:
-            if candidate in taken:
-                continue
-            assignment[role] = candidate
-            yield from extend(index + 1)
-            del assignment[role]
-
-    yield from extend(0)
+    if anchor is not None:
+        rows = [(anchor[1],)]
+    else:
+        rows = [(to_id,) for to_id in to_graph.target_objects(fragment.labels[start])]
+    for bound, edge_id, forward in steps:
+        adjacency = to_graph.adjacency(forward)
+        rows = [
+            row + (candidate,)
+            for row in rows
+            for candidate in adjacency.get((edge_id, row[bound]), ())
+            if candidate not in row
+        ]
+    if order != sorted(order):
+        # In place, so only one full copy of the rows is alive at a time.
+        to_role_order = itemgetter(*(position[role] for role in range(len(order))))
+        for index, row in enumerate(rows):
+            rows[index] = to_role_order(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -166,30 +172,56 @@ class RelationStore:
                     )
         self.database.commit()
 
-    def load(self, to_graph: TargetObjectGraph) -> dict[str, int]:
+    def load(
+        self,
+        to_graph: TargetObjectGraph,
+        phase_seconds: dict[str, float] | None = None,
+    ) -> dict[str, int]:
         """Populate every relation; returns row counts per relation name.
 
+        Each relation's rows are enumerated, sorted and inserted once,
+        into the base table; every other rotation copy is then filled
+        from the base table by :meth:`Database.copy_rows`, inside SQLite.
+        The base table's scan order (its primary key) is the sorted
+        insertion order, so each copy receives its rows in the same
+        order a Python-side insert of the sorted rows would.
         Already-populated tables (shared with a previously loaded
         decomposition under the same policy) are left untouched.
+
+        Args:
+            phase_seconds: When given, the seconds spent in each load
+                phase (``enumerate``, ``base_insert``, ``rotation_copy``)
+                are added to it.
         """
         counts: dict[str, int] = {}
+        phases = dict.fromkeys(LOAD_PHASES, 0.0)
         for fragment in self.decomposition.fragments:
-            base = self.base_table(fragment)
-            existing = self.database.row_count(base)
+            base, *rotations = self.physical_tables(fragment)
+            existing = self.database.row_count(base.name)
             if existing:
                 counts[fragment.relation_name] = existing
                 continue
-            rows = sorted(set(fragment_instances(fragment, to_graph)))
-            for table in self.physical_tables(fragment):
-                projection = [fragment.columns.index(c) for c in table.columns]
-                placeholders = ", ".join("?" for _ in table.columns)
-                self.database.executemany(
-                    f"INSERT OR IGNORE INTO {table.name} VALUES ({placeholders})",
-                    [tuple(row[p] for p in projection) for row in rows],
-                )
+            started = time.perf_counter()
+            rows = fragment_instances(fragment, to_graph)
+            rows.sort()
+            enumerated = time.perf_counter()
+            placeholders = ", ".join("?" for _ in base.columns)
+            self.database.executemany(
+                f"INSERT OR IGNORE INTO {base.name} VALUES ({placeholders})", rows
+            )
             counts[fragment.relation_name] = len(rows)
+            del rows
+            inserted = time.perf_counter()
+            for rotation in rotations:
+                self.database.copy_rows(rotation.name, base.name, rotation.columns)
+            phases["enumerate"] += enumerated - started
+            phases["base_insert"] += inserted - enumerated
+            phases["rotation_copy"] += time.perf_counter() - inserted
         self.database.commit()
         self.drop_memory_caches()
+        if phase_seconds is not None:
+            for phase, seconds in phases.items():
+                phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
         return counts
 
     # ------------------------------------------------------------------
@@ -253,20 +285,26 @@ class RelationStore:
     def rows_containing(
         self, fragment: Fragment, to_ids
     ) -> set[tuple[str, ...]]:
-        """Existing rows binding any of the given target objects."""
+        """Existing rows binding any of the given target objects.
+
+        Each column is probed through :meth:`clustered_table`, so under
+        ``ALL_ROTATIONS`` every probe is a primary-key range search on
+        the rotation copy led by that column, never a scan of the base
+        table.
+        """
         ids = sorted(set(to_ids))
         if not ids:
             return set()
-        base = self.base_table(fragment)
         select = ", ".join(quote_identifier(c) for c in fragment.columns)
         rows: set[tuple[str, ...]] = set()
         for column in fragment.columns:
+            table = self.clustered_table(fragment, column)
             for start in range(0, len(ids), 400):
                 chunk = ids[start:start + 400]
                 placeholders = ", ".join("?" for _ in chunk)
                 rows.update(
                     self.database.query(
-                        f"SELECT {select} FROM {base} "
+                        f"SELECT {select} FROM {table} "
                         f"WHERE {quote_identifier(column)} IN ({placeholders})",
                         chunk,
                     )

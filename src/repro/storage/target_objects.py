@@ -12,7 +12,7 @@ relations "store the actual path between a set of target objects").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from ..schema.tss import TSSGraph
 from ..xmlgraph.model import XMLGraph, XMLGraphError
@@ -150,6 +150,17 @@ class TargetObjectGraph:
     def sources(self, edge_id: str, target_to: str) -> list[str]:
         """Target objects reaching ``target_to`` over one TSS edge."""
         return list(self._backward.get((edge_id, target_to), ()))
+
+    def adjacency(self, forward: bool) -> Mapping[tuple[str, str], Sequence[str]]:
+        """TSS-edge adjacency keyed by ``(edge_id, to_id)``, not copied.
+
+        ``forward=True`` maps a source to the targets it reaches (what
+        :meth:`targets` answers); ``False`` maps a target to its sources
+        (:meth:`sources`).  Hot enumeration loops read it directly
+        instead of paying a list copy per probe; callers must not
+        mutate it.
+        """
+        return self._forward if forward else self._backward
 
     def path_of(self, edge_id: str, source_to: str, target_to: str) -> tuple[str, ...]:
         return self._paths[(edge_id, source_to, target_to)]

@@ -87,3 +87,36 @@ def test_insert_select_is_rejected(sharded):
         database.execute(
             "INSERT INTO master_index SELECT * FROM master_index"
         )
+
+
+def test_add_decomposition_routes_rotation_copies(tmp_path):
+    """Loading more relations into sharded storage matches the monolith.
+
+    Rotation copies are filled table to table (``copy_rows``); on shards
+    each copied row must land on the shard its own leading column owns.
+    """
+    from repro.decomposition import xkeyword_decomposition
+    from repro.sharding import open_sharded
+    from repro.sharding.shardset import scatter_column
+
+    catalog, decompositions, loaded = build_dblp(papers=10, authors=6)
+    create_shards(loaded, 3, tmp_path)
+    gathered = open_sharded(tmp_path, catalog, decompositions)
+    extra = xkeyword_decomposition(catalog.tss, 4, 1)
+    sharded_store = gathered.add_decomposition(extra)
+    store = loaded.add_decomposition(extra)
+    database = gathered.database
+    assert gathered.report.relation_rows[extra.name] == loaded.report.relation_rows[extra.name]
+    for fragment in extra.fragments:
+        for table in store.physical_tables(fragment):
+            columns = ", ".join(table.columns)
+            expected = sorted(loaded.database.query(f"SELECT {columns} FROM {table.name}"))
+            assert sorted(database.query(f"SELECT {columns} FROM {table.name}")) == expected
+            column = scatter_column(table.name, table.columns)
+            position = table.columns.index(column)
+            for shard in range(database.num_shards):
+                for row in database.query(f"SELECT {columns} FROM s{shard}.{table.name}"):
+                    assert shard_of(row[position], database.num_shards) == shard
+        assert sharded_store.row_count(fragment) == store.row_count(fragment)
+    database.close()
+    loaded.database.close()

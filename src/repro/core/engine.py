@@ -9,7 +9,8 @@ global result budget of K.
 
 CN generation and CTSSN reduction read only the schema, the schema
 nodes each keyword hits and Z, so they run once per such signature and
-are cached per engine (:mod:`repro.core.frontcache`).
+are cached per engine (:mod:`repro.core.frontcache`).  So does each
+CTSSN's plan shape (cover and join order) per anchor role.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from ..schema.tss import TSSGraph
 from ..storage.decomposer import LoadedDatabase
@@ -39,10 +40,13 @@ from .execution import (
     SharedPrefixTable,
     TopKBound,
     assign_shared_prefixes,
+    prefix_shapes,
     resolve_shards,
 )
 from .frontcache import (
     FrontHalfCache,
+    PlanMemo,
+    PlanShape,
     bind_ctssns,
     bind_networks,
     build_template,
@@ -130,6 +134,17 @@ class SearchHooks:
 
     observer: ExecutionObserver | None = None
     """Passed to every executor; sees per-lookup and per-CN completion."""
+
+
+class _FrontHalf(NamedTuple):
+    """Stages 2-3 of one query, bound to its keywords."""
+
+    networks: list[CandidateNetwork]
+    ctssns: list[CTSSN]
+    plan_memos: list[PlanMemo]
+    """``plan_memos[i]`` is the template's plan memo for ``ctssns[i]``."""
+    outcome: str
+    """The front-half cache outcome, ``"hit"`` or ``"miss"``."""
 
 
 class NetworkVerifier(Protocol):
@@ -227,14 +242,14 @@ class XKeyword:
     ) -> list[CandidateNetwork]:
         """Stage 2 (Fig 7): generate candidate networks on the schema graph."""
         containing = containing or self.containing_lists(query)
-        return self._front_half(query, containing)[0]
+        return self._front_half(query, containing).networks
 
     def candidate_tss_networks(
         self, query: KeywordQuery, containing: ContainingLists | None = None
     ) -> list[CTSSN]:
         """Stage 3 (Fig 7): reduce CNs to candidate TSS networks."""
         containing = containing or self.containing_lists(query)
-        return self._front_half(query, containing)[1]
+        return self._front_half(query, containing).ctssns
 
     def plan(
         self,
@@ -250,7 +265,7 @@ class XKeyword:
             span: Optional trace span the optimizer annotates with the
                 chosen relations, join count and anchor.
         """
-        return self._plan(ctssn, self._role_costs(ctssn, containing), span)
+        return self._plan(ctssn, self._role_costs(ctssn, containing), span)[0]
 
     def _front_half(
         self,
@@ -258,11 +273,12 @@ class XKeyword:
         containing: ContainingLists,
         trace=NULL_TRACE,
         metrics: ExecutionMetrics | None = None,
-    ) -> tuple[list[CandidateNetwork], list[CTSSN], str]:
+    ) -> _FrontHalf:
         """Stages 2-3 through the front-half cache.
 
         Returns the bound CNs, their CTSSNs (both byte-identical to a
-        cold generation) and the cache outcome, ``"hit"`` or ``"miss"``.  A
+        cold generation), each CTSSN's template plan memo and the cache
+        outcome, ``"hit"`` or ``"miss"``.  A
         miss generates and reduces once over placeholder keywords; the
         ``cn_generation`` and ``ctssn_reduction`` spans and stages time
         the two halves either way.  A verifier checks every bound
@@ -302,7 +318,9 @@ class XKeyword:
         metrics.record_stage("ctssn_reduction", time.perf_counter() - started)
         span.annotate(ctssns=len(ctssns))
         span.finish()
-        return networks, ctssns, outcome
+        return _FrontHalf(
+            networks, ctssns, [template.plans[index] for index in order], outcome
+        )
 
     @staticmethod
     def _role_costs(ctssn: CTSSN, containing: ContainingLists) -> dict[int, int]:
@@ -313,12 +331,43 @@ class XKeyword:
         }
 
     def _plan(
-        self, ctssn: CTSSN, role_costs: dict[int, int], span: Span | None = None
-    ) -> ExecutionPlan:
-        plan = self.optimizer.plan(ctssn, role_costs, span=span)
+        self,
+        ctssn: CTSSN,
+        role_costs: dict[int, int],
+        span: Span | None = None,
+        memo: PlanMemo | None = None,
+        metrics: ExecutionMetrics | None = None,
+    ) -> tuple[ExecutionPlan, PlanShape]:
+        """Plan one CTSSN and return the plan with its shape.
+
+        ``memo`` is the front-half template's plan memo for ``ctssn``:
+        the anchor is picked from this query's role costs, and a shape
+        cached for it skips the cover search and join ordering.  A miss
+        plans cold and fills the memo.  ``metrics`` and ``span`` record
+        the outcome.
+        """
+        anchor = self.optimizer.pick_anchor(ctssn, role_costs)
+        cached = memo.get(anchor) if memo is not None else None
+        plan = self.optimizer.plan(
+            ctssn,
+            anchor_role=anchor,
+            span=span,
+            steps=None if cached is None else cached.steps,
+        )
+        if cached is not None:
+            shape, outcome = cached, "hit"
+        else:
+            shape, outcome = PlanShape(plan.steps, prefix_shapes(plan)), "miss"
+            if memo is not None:
+                memo[anchor] = shape
+        if memo is not None:
+            if metrics is not None:
+                metrics.record_plan_cache(outcome)
+            if span is not None and span.enabled:
+                span.annotate(cache=outcome)
         if self.verifier is not None:
             self.verifier.check_plan(plan, self.stores)
-        return plan
+        return plan, shape
 
     def _make_executor(
         self, plan: ExecutionPlan, containing: ContainingLists,
@@ -452,49 +501,6 @@ class XKeyword:
         threading.Thread(target=run, name="xkeyword-stream", daemon=True).start()
         return stream
 
-    def stream(
-        self,
-        query: KeywordQuery | str,
-        config: ExecutorConfig | None = None,
-    ):
-        """Stream MTTONs as they are produced (Section 3.2: XKeyword
-        "outputs MTTONs as they come", filling result pages on the fly).
-
-        Candidate networks are evaluated smallest-score first, so the
-        stream is in (block-wise) ranking order; stop consuming whenever
-        enough results arrived.
-        """
-        query = self._coerce(query)
-        config = config or self.executor_config
-        containing = self.containing_lists(query)
-        if any(not containing.keyword_tos[k] for k in query.keywords):
-            return
-        ctssns = self.candidate_tss_networks(query, containing)
-        role_costs_of = {
-            ctssn.canonical_key: self._role_costs(ctssn, containing)
-            for ctssn in ctssns
-        }
-        ordered = sorted(
-            ctssns,
-            key=lambda c: (
-                c.score,
-                self.optimizer.estimate_results(c, role_costs_of[c.canonical_key]),
-                c.canonical_key,
-            ),
-        )
-        lookup_cache = ResultCache(config.cache_capacity)
-        for ctssn in ordered:
-            plan = self._plan(ctssn, role_costs_of[ctssn.canonical_key])
-            executor = self._make_executor(
-                plan,
-                containing,
-                config,
-                lookup_cache=lookup_cache,
-                observer=self.hooks.observer,
-            )
-            for row in executor.run():
-                yield materialize(ctssn, row, self.loaded.to_graph)
-
     # ------------------------------------------------------------------
     def _coerce(self, query: KeywordQuery | str) -> KeywordQuery:
         if isinstance(query, str):
@@ -539,11 +545,14 @@ class XKeyword:
         if any(not containing.keyword_tos[k] for k in query.keywords):
             return self._finish(query, result, started, trace, stream=stream)
 
-        (
-            result.candidate_networks,
-            result.ctssns,
-            result.front_half_cache,
-        ) = self._front_half(query, containing, trace, metrics)
+        front_half = self._front_half(query, containing, trace, metrics)
+        result.candidate_networks = front_half.networks
+        result.ctssns = front_half.ctssns
+        result.front_half_cache = front_half.outcome
+        memo_of = {
+            id(ctssn): memo
+            for ctssn, memo in zip(front_half.ctssns, front_half.plan_memos)
+        }
 
         # Smaller CNs first (cheaper and higher ranked, per the paper);
         # ties broken by the statistics-estimated result count.  The
@@ -567,11 +576,14 @@ class XKeyword:
         lookup_cache = ResultCache(config.cache_capacity)
 
         # --- Cross-CN scheduler -----------------------------------------
-        # Plan every CN upfront (the prefix canonicalization needs all
-        # plans before any executes); each CN's span stays open until its
-        # execution finishes, so the ``plan``/``execute`` children pair
-        # up exactly as before.
+        # Plan every CN before any executes: the shared-prefix assignment
+        # compares all plans.  A CN's plan is its template's cached shape
+        # for the chosen anchor (cold on the signature's first query), so
+        # this costs little even though the top-k bound later prunes
+        # most CNs.  Each CN's span stays open until its execution
+        # finishes, so the ``plan``/``execute`` children pair up.
         planned: list[tuple[CTSSN, ExecutionPlan, Span]] = []
+        shapes: list[PlanShape] = []
         for ctssn in ordered:
             cn_span = trace.span(
                 "cn",
@@ -582,16 +594,32 @@ class XKeyword:
             plan_span = cn_span.child("plan")
             stage_started = time.perf_counter()
             try:
-                plan = self._plan(ctssn, role_costs_of[id(ctssn)], span=plan_span)
+                plan, shape = self._plan(
+                    ctssn,
+                    role_costs_of[id(ctssn)],
+                    span=plan_span,
+                    memo=memo_of[id(ctssn)],
+                    metrics=metrics,
+                )
             finally:
                 metrics.record_stage(
                     "planning", time.perf_counter() - stage_started
                 )
                 plan_span.finish()
             planned.append((ctssn, plan, cn_span))
+            shapes.append(shape)
         result.relations_used = frozenset(
             name for _, plan, _ in planned for name in plan.relations_used()
         )
+        prefixes: dict[int, PrefixSpec] = {}
+        if config.share_prefixes:
+            prefixes = assign_shared_prefixes(
+                [plan for _, plan, _ in planned],
+                [shape.prefixes for shape in shapes],
+            )
+            if self.verifier is not None:
+                for index, spec in prefixes.items():
+                    self.verifier.check_shared_prefix(planned[index][1], spec)
 
         emitter: _StreamEmitter | None = None
         if stream is not None:
@@ -630,7 +658,7 @@ class XKeyword:
             # below yields a byte-identical ranked top-k.
             collected = self._scatter_execute(
                 query, planned, containing, config, limit, trace, metrics,
-                lookup_cache, emitter=emitter,
+                lookup_cache, emitter=emitter, prefixes=prefixes,
             )
             collected.sort(
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
@@ -640,15 +668,7 @@ class XKeyword:
             result.mttons = collected
             return self._finish(query, result, started, trace, stream=stream)
 
-        prefixes: dict[int, PrefixSpec] = {}
-        prefix_table: SharedPrefixTable | None = None
-        if config.share_prefixes:
-            prefixes = assign_shared_prefixes([plan for _, plan, _ in planned])
-            if prefixes:
-                prefix_table = SharedPrefixTable()
-                if self.verifier is not None:
-                    for index, spec in prefixes.items():
-                        self.verifier.check_shared_prefix(planned[index][1], spec)
+        prefix_table = SharedPrefixTable() if prefixes else None
 
         if config.prune_by_bound and limit is not None:
             bound = shared_bound if shared_bound is not None else TopKBound(limit)
@@ -760,6 +780,7 @@ class XKeyword:
         metrics: ExecutionMetrics,
         lookup_cache: ResultCache,
         emitter: _StreamEmitter | None = None,
+        prefixes: Mapping[int, PrefixSpec] | None = None,
     ) -> list[MTTON]:
         """Evaluate every planned CN once per shard, gathering results.
 
@@ -776,9 +797,9 @@ class XKeyword:
         Each shard gets a :class:`~repro.core.execution.ShardPartition`
         restricting anchor seeds to the target objects it owns, its own
         ``shard`` trace span (with per-CN ``execute`` children), and its
-        own :class:`~repro.core.execution.SharedPrefixTable` — prefix
-        rows embed the partitioned anchor, so they must not cross
-        shards.  The relation-lookup cache *is* shared: raw probes are
+        own :class:`~repro.core.execution.SharedPrefixTable` for the
+        ``prefixes`` :meth:`_run` assigned — prefix rows embed the
+        partitioned anchor, so they must not cross shards.  The relation-lookup cache *is* shared: raw probes are
         partition-independent.  One
         :class:`~repro.core.execution.TopKBound` spans all shards, so a
         result collected on any shard prunes candidate networks
@@ -786,15 +807,10 @@ class XKeyword:
         units: ``cns_pruned`` counts each (CN, shard) skip.
         """
         shard_count = self.shards
+        prefixes = prefixes or {}
         for _, _, cn_span in planned:
             cn_span.annotate(scattered_across=shard_count)
             cn_span.finish()
-        prefixes: dict[int, PrefixSpec] = {}
-        if config.share_prefixes:
-            prefixes = assign_shared_prefixes([plan for _, plan, _ in planned])
-            if prefixes and self.verifier is not None:
-                for index, spec in prefixes.items():
-                    self.verifier.check_shared_prefix(planned[index][1], spec)
         bound = (
             TopKBound(limit)
             if config.prune_by_bound and limit is not None

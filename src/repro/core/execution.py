@@ -32,7 +32,7 @@ import warnings
 import zlib
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ..storage.relations import RelationStore
 from ..trace import Span
@@ -160,6 +160,10 @@ class ExecutionMetrics:
     """Shared prefixes this run materialized (exactly one per distinct prefix)."""
     cns_pruned: int = 0
     """Candidate networks skipped outright by the global top-k bound."""
+    plan_cache_hits: int = 0
+    """CNs planned from their front-half template's cached plan shape."""
+    plan_cache_misses: int = 0
+    """CNs planned cold (their template had no shape for the anchor)."""
     stage_seconds: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per pipeline stage (``matching``,
     ``cn_generation``, ``ctssn_reduction``, ``planning``, ``execution``).
@@ -174,6 +178,13 @@ class ExecutionMetrics:
     def record_stage(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock time against one pipeline stage."""
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+
+    def record_plan_cache(self, outcome: str) -> None:
+        """Count one CN's plan-shape cache outcome, ``"hit"`` or ``"miss"``."""
+        if outcome == "hit":
+            self.plan_cache_hits += 1
+        else:
+            self.plan_cache_misses += 1
 
     def record_shard(self, shard: int, results: int, seconds: float) -> None:
         """Accumulate one shard's scatter-gather contribution."""
@@ -190,6 +201,8 @@ class ExecutionMetrics:
         self.prefix_hits += other.prefix_hits
         self.prefix_materializations += other.prefix_materializations
         self.cns_pruned += other.cns_pruned
+        self.plan_cache_hits += other.plan_cache_hits
+        self.plan_cache_misses += other.plan_cache_misses
         for stage, seconds in other.stage_seconds.items():
             self.record_stage(stage, seconds)
         for shard, results in other.shard_results.items():
@@ -256,6 +269,78 @@ class PrefixSpec:
     roles_by_slot: tuple[int, ...]
 
 
+class PrefixShape(NamedTuple):
+    """The keyword-free part of a :class:`PrefixSpec` key.
+
+    It reads only the plan's steps, anchor role and network labels,
+    never the keywords, so the front-half cache keeps it next to the
+    plan's steps (:class:`~repro.core.frontcache.PlanShape`) and each
+    query binds only the witness constraints.
+    """
+
+    steps: tuple
+    """Per step: relation name, store and the fragment-role -> slot map."""
+    roles_by_slot: tuple[int, ...]
+    labels: tuple[str, ...]
+    """The TSS label of each slot."""
+
+
+def prefix_shapes(plan: ExecutionPlan) -> tuple[PrefixShape, ...]:
+    """The keyword-free signature of each prefix of ``plan``.
+
+    Entry ``i`` describes the first ``i + 1`` join steps.  CTSSN role ids
+    are renamed to *slots* in order of first appearance; the anchor seeds
+    the loop, so it is always slot 0.
+    """
+    labels = plan.ctssn.network.labels
+    slots = {plan.anchor_role: 0}
+    step_signatures = []
+    shapes = []
+    for step in plan.steps:
+        join = []
+        for fragment_role, network_role in sorted(step.piece.role_map):
+            slot = slots.setdefault(network_role, len(slots))
+            join.append((fragment_role, slot))
+        step_signatures.append((step.relation_name, step.store_name, tuple(join)))
+        roles_by_slot = tuple(slots)
+        shapes.append(
+            PrefixShape(
+                tuple(step_signatures),
+                roles_by_slot,
+                tuple(labels[role] for role in roles_by_slot),
+            )
+        )
+    return tuple(shapes)
+
+
+def bind_prefixes(
+    plan: ExecutionPlan, shapes: Sequence[PrefixShape]
+) -> list[PrefixSpec]:
+    """Complete each keyword-free prefix shape of ``plan`` into its spec.
+
+    The key adds, per slot, the witness constraints filtering it (equal
+    constraints mean equal admission sets within one query).
+    """
+    annotations = plan.ctssn.annotations
+    constraints: dict[int, tuple] = {}
+    specs = []
+    for shape in shapes:
+        for role in shape.roles_by_slot:
+            if role not in constraints:
+                constraints[role] = tuple(
+                    sorted(constraint.sort_key() for constraint in annotations[role])
+                )
+        key = (
+            shape.steps,
+            shape.labels,
+            tuple(constraints[role] for role in shape.roles_by_slot),
+        )
+        specs.append(
+            PrefixSpec(key=key, length=len(shape.steps), roles_by_slot=shape.roles_by_slot)
+        )
+    return specs
+
+
 def prefix_spec(plan: ExecutionPlan, length: int) -> PrefixSpec | None:
     """Canonicalize the first ``length`` join steps of ``plan``.
 
@@ -265,8 +350,7 @@ def prefix_spec(plan: ExecutionPlan, length: int) -> PrefixSpec | None:
 
     * per step: relation name, physical store, and the fragment-role ->
       slot join map (slots rename the plan's role ids canonically);
-    * per slot: the TSS label and the witness constraints filtering it
-      (equal constraints mean equal admission sets within one query).
+    * per slot: the TSS label and the witness constraints filtering it.
 
     Two plans with equal signatures therefore produce identical
     canonical row sequences, which is what makes cross-CN borrowing
@@ -274,45 +358,12 @@ def prefix_spec(plan: ExecutionPlan, length: int) -> PrefixSpec | None:
     """
     if length < 1 or length > len(plan.steps):
         return None
-    ctssn = plan.ctssn
-    slots: dict[int, int] = {}
-
-    def slot_of(role: int) -> int:
-        if role not in slots:
-            slots[role] = len(slots)
-        return slots[role]
-
-    slot_of(plan.anchor_role)  # the anchor seeds the loop: always slot 0
-    step_signatures = []
-    for step in plan.steps[:length]:
-        role_map = tuple(sorted(step.piece.role_map))
-        step_signatures.append(
-            (
-                step.relation_name,
-                step.store_name,
-                tuple(
-                    (fragment_role, slot_of(network_role))
-                    for fragment_role, network_role in role_map
-                ),
-            )
-        )
-    roles_by_slot = tuple(sorted(slots, key=lambda role: slots[role]))
-    labels = tuple(ctssn.network.labels[role] for role in roles_by_slot)
-    constraints = tuple(
-        tuple(
-            constraint.sort_key()
-            for constraint in sorted(
-                ctssn.annotations[role], key=lambda c: c.sort_key()
-            )
-        )
-        for role in roles_by_slot
-    )
-    key = (tuple(step_signatures), labels, constraints)
-    return PrefixSpec(key=key, length=length, roles_by_slot=roles_by_slot)
+    return bind_prefixes(plan, (prefix_shapes(plan)[length - 1],))[0]
 
 
 def assign_shared_prefixes(
     plans: Sequence[ExecutionPlan],
+    shapes: Sequence[Sequence[PrefixShape]] | None = None,
 ) -> dict[int, PrefixSpec]:
     """Pick, per plan, the longest prefix at least one other plan shares.
 
@@ -321,16 +372,17 @@ def assign_shared_prefixes(
     prefix whose signature appears in at least two plans, then choices
     nobody else made are dropped (materializing a prefix only one plan
     would read is pure overhead).
+
+    ``shapes[i]``, when given, is :func:`prefix_shapes` of ``plans[i]``
+    (the front-half cache keeps them with the plan's steps).
     """
     specs_by_plan: list[list[PrefixSpec]] = []
     population: Counter = Counter()
-    for plan in plans:
-        row = []
-        for length in range(1, len(plan.steps) + 1):
-            spec = prefix_spec(plan, length)
-            if spec is not None:
-                row.append(spec)
-                population[spec.key] += 1
+    for index, plan in enumerate(plans):
+        row = bind_prefixes(
+            plan, prefix_shapes(plan) if shapes is None else shapes[index]
+        )
+        population.update(spec.key for spec in row)
         specs_by_plan.append(row)
     chosen: dict[int, PrefixSpec] = {}
     for index, row in enumerate(specs_by_plan):

@@ -27,24 +27,37 @@ renaming therefore maps the placeholder run's networks one to one onto
 the cold run's; only the final sort orders differ, and binding redoes
 those.
 
+Each template also keeps its CTSSNs' plan shapes (:class:`PlanShape`):
+the optimizer's cover and join order, which read only the shared
+:class:`~repro.decomposition.fragments.TSSNetwork`, the set of keyword
+roles, the anchor role and the engine's fragment universe and row
+counts — never the keywords.  The anchor is still picked per query from
+the role costs, so the shapes are keyed by it; a query rebuilds its plan
+as ``ExecutionPlan(bound_ctssn, shape.steps, anchor)`` and binds only the
+witness constraints of each shared-prefix key.
+
 No invalidation is needed.  The key is recomputed from each query's
 fresh containing lists, so a live mutation that changes which schema
 nodes a keyword hits simply produces a different key; and an engine's
 catalog never changes (a reload builds a new engine, with a new cache).
+Neither do its fragment universe and the optimizer's row counts, which
+are read once per engine, so a cached plan shape equals a cold plan's.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..schema.graph import SchemaGraph
 from ..schema.tss import TSSGraph
 from .cn_generator import CandidateNetwork, CNGenerator
 from .ctssn import CTSSN, WitnessConstraint, reduce_to_ctssn
+from .execution import PrefixShape
 from .matching import ContainingLists
+from .plans import PlanStep
 from .query import KeywordQuery
 
 FRONT_HALF_CACHE_CAPACITY = 32
@@ -73,15 +86,34 @@ def _placeholder(position: int) -> str:
 
 
 @dataclass(frozen=True)
+class PlanShape:
+    """One template CTSSN's plan for one anchor role, keywords left out.
+
+    ``prefixes[i]`` is :func:`~repro.core.execution.prefix_shapes`'s
+    entry for the first ``i + 1`` steps.
+    """
+
+    steps: tuple[PlanStep, ...]
+    prefixes: tuple[PrefixShape, ...]
+
+
+PlanMemo = dict[int, PlanShape]
+"""One template CTSSN's plan shapes by anchor role.  Plain dict reads
+and writes only: concurrent misses store equal shapes, so the last
+write may win."""
+
+
+@dataclass(frozen=True)
 class FrontHalfTemplate:
     """One signature's CNs and CTSSNs over placeholder keywords.
 
-    ``ctssns[i]`` is the reduction of ``networks[i]``; both are in
-    generation order (binding sorts).
+    ``ctssns[i]`` is the reduction of ``networks[i]`` and ``plans[i]``
+    its plan memo; all are in generation order (binding sorts).
     """
 
     networks: tuple[CandidateNetwork, ...]
     ctssns: tuple[CTSSN, ...]
+    plans: tuple[PlanMemo, ...] = field(compare=False)
 
 
 def template_networks(
@@ -99,7 +131,9 @@ def build_template(
 ) -> FrontHalfTemplate:
     """Reduce the placeholder networks and freeze them into a template."""
     return FrontHalfTemplate(
-        tuple(networks), tuple(reduce_to_ctssn(cn, tss_graph) for cn in networks)
+        tuple(networks),
+        tuple(reduce_to_ctssn(cn, tss_graph) for cn in networks),
+        tuple({} for _ in networks),
     )
 
 

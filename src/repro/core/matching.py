@@ -12,6 +12,7 @@ the same type and of the same target object").
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from ..storage.master_index import MasterIndex
@@ -30,6 +31,12 @@ class ContainingLists:
     keyword_tos: dict[str, set[str]] = field(default_factory=dict)
     nodes_by_to: dict[str, list[str]] = field(default_factory=dict)
     keyword_schema_nodes: dict[str, set[str]] = field(default_factory=dict)
+    _allowed: dict[tuple[WitnessConstraint, ...], frozenset[str]] = field(  # guarded by: self._allowed_lock
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _allowed_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def fetch(cls, master_index: MasterIndex, query: KeywordQuery) -> "ContainingLists":
@@ -89,10 +96,29 @@ class ContainingLists:
 
         return assign(0, set())
 
-    def allowed_tos(self, constraints: tuple[WitnessConstraint, ...]) -> set[str]:
-        """Target objects admissible for a role with these constraints."""
+    def allowed_tos(
+        self, constraints: tuple[WitnessConstraint, ...]
+    ) -> frozenset[str]:
+        """Target objects admissible for a role with these constraints.
+
+        Memoized per constraints tuple: many CTSSNs of one query share a
+        role's constraints, and the role costs and every executor's role
+        filters ask for the same set.  The per-CN thread pool shares the
+        lists, hence the lock; the set is frozen because callers share it.
+        """
+        with self._allowed_lock:
+            allowed = self._allowed.get(constraints)
+        if allowed is not None:
+            return allowed
+        allowed = self._compute_allowed(constraints)
+        with self._allowed_lock:
+            return self._allowed.setdefault(constraints, allowed)
+
+    def _compute_allowed(
+        self, constraints: tuple[WitnessConstraint, ...]
+    ) -> frozenset[str]:
         if not constraints:
-            return set()
+            return frozenset()
         candidate_pool: set[str] | None = None
         for constraint in constraints:
             tos: set[str] = set()
@@ -100,4 +126,4 @@ class ContainingLists:
                 tos |= self.keyword_tos.get(keyword, set())
             candidate_pool = tos if candidate_pool is None else candidate_pool & tos
         assert candidate_pool is not None
-        return {to for to in candidate_pool if self.satisfies(to, constraints)}
+        return frozenset(to for to in candidate_pool if self.satisfies(to, constraints))

@@ -18,6 +18,7 @@ two CNs probing the same relation with the same junction ids reuse work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..decomposition.cover import CoverPiece, min_cover
 from ..decomposition.fragments import Fragment
@@ -57,13 +58,6 @@ class Optimizer:
                     universe.append((fragment, store_name))
         return universe
 
-    def _store_of(self, fragment: Fragment) -> str:
-        for store_name, store in self.stores.items():
-            for candidate in store.decomposition.fragments:
-                if candidate.relation_name == fragment.relation_name:
-                    return store_name
-        raise PlanningError(f"no store holds {fragment.relation_name}")
-
     def _rows(self, fragment: Fragment, store_name: str) -> int:
         count = self._row_counts.get(fragment.relation_name)
         if count is None:
@@ -79,6 +73,7 @@ class Optimizer:
         anchor_role: int | None = None,
         max_joins: int | None = None,
         span: Span | None = None,
+        steps: Sequence[PlanStep] | None = None,
     ) -> ExecutionPlan:
         """Build an execution plan for one candidate TSS network.
 
@@ -91,24 +86,36 @@ class Optimizer:
                 clicked node's role).
             max_joins: Optional hard bound B on the join count.
             span: Trace span annotated with the chosen anchor, relation
-                order, and the plan tree (``None`` when tracing is off).
+                order, and the plan tree (skipped unless it is enabled).
+            steps: The steps an earlier plan chose for the same network,
+                keyword roles and anchor (the front-half cache's
+                :class:`~repro.core.frontcache.PlanShape`).  The cover
+                and join order read nothing else, so they are reused
+                instead of searched.
         """
-        network = ctssn.network
         if anchor_role is None:
-            anchor_role = self._pick_anchor(ctssn, role_costs or {})
-        if network.size == 0:
-            plan = ExecutionPlan(ctssn, (), anchor_role)
-            if span is not None:
-                span.annotate(
-                    anchor_role=anchor_role,
-                    joins=0,
-                    relations="-",
-                    detail=plan.describe(),
-                )
-            return plan
+            anchor_role = self.pick_anchor(ctssn, role_costs or {})
+        if steps is None:
+            steps = self._plan_steps(ctssn, anchor_role, max_joins)
+        plan = ExecutionPlan(ctssn, tuple(steps), anchor_role)
+        if span is not None and span.enabled:
+            span.annotate(
+                anchor_role=anchor_role,
+                joins=plan.join_count,
+                relations=" -> ".join(plan.relations_used()) or "-",
+                detail=plan.describe(),
+            )
+        return plan
 
+    def _plan_steps(
+        self, ctssn: CTSSN, anchor_role: int, max_joins: int | None
+    ) -> list[PlanStep]:
+        """The minimum cover of ``ctssn``, greedily ordered from the anchor."""
+        network = ctssn.network
+        if network.size == 0:
+            return []
         universe = self._fragment_universe()
-        store_of = {
+        store_by_relation = {
             fragment.relation_name: store_name for fragment, store_name in universe
         }
         cover = min_cover(
@@ -116,28 +123,14 @@ class Optimizer:
             [fragment for fragment, _ in universe],
             max_pieces=None if max_joins is None else max_joins + 1,
             cost_of=lambda fragment: self._rows(
-                fragment, store_of[fragment.relation_name]
+                fragment, store_by_relation[fragment.relation_name]
             ),
         )
         if cover is None:
             raise PlanningError(
                 f"no decomposition in {sorted(self.stores)} covers {ctssn}"
             )
-        store_by_relation = {
-            fragment.relation_name: store_name for fragment, store_name in universe
-        }
-        steps = self._order_pieces(ctssn, cover, anchor_role, store_by_relation)
-        plan = ExecutionPlan(ctssn, tuple(steps), anchor_role)
-        if span is not None:
-            span.annotate(
-                anchor_role=anchor_role,
-                joins=max(0, len(steps) - 1),
-                relations=" -> ".join(
-                    step.piece.fragment.relation_name for step in steps
-                ),
-                detail=plan.describe(),
-            )
-        return plan
+        return self._order_pieces(ctssn, cover, anchor_role, store_by_relation)
 
     # ------------------------------------------------------------------
     def score_lower_bound(self, ctssn: CTSSN) -> int:
@@ -166,7 +159,7 @@ class Optimizer:
         """
         role_costs = role_costs or {}
         network = ctssn.network
-        anchor = self._pick_anchor(ctssn, role_costs)
+        anchor = self.pick_anchor(ctssn, role_costs)
         anchor_count = role_costs.get(anchor)
         if anchor_count is None:
             anchor_count = self.statistics.count(network.labels[anchor]) or 1
@@ -190,7 +183,9 @@ class Optimizer:
                     estimate *= min(1.0, role_costs[other] / total)
         return estimate
 
-    def _pick_anchor(self, ctssn: CTSSN, role_costs: dict[int, int]) -> int:
+    def pick_anchor(self, ctssn: CTSSN, role_costs: dict[int, int]) -> int:
+        """The outer-loop role: the keyword role with the fewest admissible
+        target objects (ties to the lower role), or role 0 without any."""
         keyword_roles = [role for role, _ in ctssn.keyword_roles()]
         if not keyword_roles:
             return 0

@@ -213,14 +213,16 @@ class _EngineInstrumentation(ExecutionObserver):
             "repro_cns_pruned_total",
             "Candidate networks skipped by the global top-k bound",
         )
-        self._front_half = {
-            "hit": registry.counter(
-                "repro_cache_hits_total", "Cache hits, by cache layer", layer="cn"
-            ),
-            "miss": registry.counter(
-                "repro_cache_misses_total", "Cache misses, by cache layer", layer="cn"
-            ),
-        }
+        # Front-half (``cn``, per search) and plan-shape (``plan``, per
+        # planned CN) cache outcomes, keyed (layer, outcome).
+        self._cache_outcomes = {}
+        for layer in ("cn", "plan"):
+            self._cache_outcomes[layer, "hit"] = registry.counter(
+                "repro_cache_hits_total", "Cache hits, by cache layer", layer=layer
+            )
+            self._cache_outcomes[layer, "miss"] = registry.counter(
+                "repro_cache_misses_total", "Cache misses, by cache layer", layer=layer
+            )
         self._shard_results = lambda shard: registry.counter(
             "repro_shard_results_total",
             "Results produced per shard by scattered searches",
@@ -245,7 +247,11 @@ class _EngineInstrumentation(ExecutionObserver):
         for stage, stage_seconds in result.metrics.stage_seconds.items():
             self._stage_seconds(stage).observe(stage_seconds)
         if result.front_half_cache is not None:
-            self._front_half[result.front_half_cache].inc()
+            self._cache_outcomes["cn", result.front_half_cache].inc()
+        if result.metrics.plan_cache_hits:
+            self._cache_outcomes["plan", "hit"].inc(result.metrics.plan_cache_hits)
+        if result.metrics.plan_cache_misses:
+            self._cache_outcomes["plan", "miss"].inc(result.metrics.plan_cache_misses)
         for shard, shard_results in result.metrics.shard_results.items():
             self._shard_results(shard).inc(shard_results)
             self._shard_seconds(shard).observe(

@@ -91,6 +91,7 @@ class ShardedXKeyword(XKeyword):
         metrics: ExecutionMetrics,
         lookup_cache,
         emitter=None,
+        prefixes=None,
     ) -> list[MTTON]:
         """Ship the query to the pool; gather, rematerialize, and account.
 
@@ -101,6 +102,7 @@ class ShardedXKeyword(XKeyword):
         ``emitter`` is accepted but unused: workers only report results
         at gather time, so streamed runs fall back to bulk publication
         when the search completes (documented on the base method).
+        ``prefixes`` is unused too: each worker assigns its own.
         """
         shard_count = self.shards
         for _, _, cn_span in planned:

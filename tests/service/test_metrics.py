@@ -5,6 +5,7 @@ import urllib.request
 
 import pytest
 
+from repro.core import KeywordQuery, XKeyword
 from repro.service import MetricsRegistry, QueryService, ServiceConfig
 
 from .test_server import post_search, start_server
@@ -102,7 +103,7 @@ class TestCacheLayerCounters:
     def test_front_half_cache_hits_and_misses_on_metrics(self, small_dblp_db):
         """A new signature misses the engine's front-half cache; the same
         signature under another k (a query-cache miss) or keyword order
-        hits it."""
+        hits it.  The plan-shape layer counts per planned CN."""
         service = QueryService(small_dblp_db, ServiceConfig(workers=2))
         server, base = start_server(service)
         try:
@@ -121,6 +122,22 @@ class TestCacheLayerCounters:
         assert "# TYPE repro_cache_hits_total counter" in text
         assert 'repro_cache_misses_total{layer="cn"} 1' in text
         assert 'repro_cache_hits_total{layer="cn"} 2' in text
+        # One plan-shape outcome per planned CN: the first search plans
+        # every CN cold, the second (same keywords) hits every shape.
+        networks = len(
+            XKeyword(small_dblp_db).candidate_networks(
+                KeywordQuery.of("smith", "balmin", max_size=6)
+            )
+        )
+        plan = {
+            outcome: int(float(line.rsplit(" ", 1)[1]))
+            for outcome in ("hits", "misses")
+            for line in text.splitlines()
+            if line.startswith(f'repro_cache_{outcome}_total{{layer="plan"}} ')
+        }
+        assert networks > 0
+        assert plan["hits"] + plan["misses"] == 3 * networks
+        assert plan["misses"] >= networks and plan["hits"] >= networks
 
 
 @pytest.mark.stress

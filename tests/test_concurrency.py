@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core import KeywordQuery, ResultCache, XKeyword
+from repro.core import ContainingLists, KeywordQuery, ResultCache, XKeyword
 from repro.core.frontcache import FRONT_HALF_CACHE_CAPACITY, front_half_signature
 
 pytestmark = pytest.mark.stress
@@ -149,6 +149,7 @@ class TestFrontHalfCacheThreadSafety:
         engine = XKeyword(small_dblp_db)
         failures: list[str] = []
         outcomes: list[str | None] = []
+        plan_outcomes = {"hit": 0, "miss": 0}
         lock = threading.Lock()
 
         def worker(seed: int) -> None:
@@ -160,6 +161,8 @@ class TestFrontHalfCacheThreadSafety:
                     size = len(engine.front_half_cache)
                     with lock:
                         outcomes.append(result.front_half_cache)
+                        plan_outcomes["hit"] += result.metrics.plan_cache_hits
+                        plan_outcomes["miss"] += result.metrics.plan_cache_misses
                         if answer(result) != oracle[query]:
                             failures.append(f"{query}: answer differs")
                         if size > FRONT_HALF_CACHE_CAPACITY:
@@ -186,3 +189,58 @@ class TestFrontHalfCacheThreadSafety:
         }
         assert len(signatures) > FRONT_HALF_CACHE_CAPACITY
         assert outcomes.count("hit") > 0 and outcomes.count("miss") > 0
+        # Plan shapes are filled and read concurrently too.
+        assert plan_outcomes["hit"] > 0 and plan_outcomes["miss"] > 0
+
+
+class TestContainingListsThreadSafety:
+    def test_allowed_tos_memo_under_contention(self, small_dblp_db):
+        """16 threads ask one query's lists for the same role filters at
+        once, as the per-CN pool does.  Every answer equals the cold
+        computation, and each constraints tuple maps to one shared set."""
+        engine = XKeyword(small_dblp_db)
+        query = KeywordQuery.of("smith", "balmin", max_size=6)
+        constraint_sets = sorted(
+            {
+                constraints
+                for ctssn in engine.candidate_tss_networks(query)
+                for _, constraints in ctssn.keyword_roles()
+            },
+            key=repr,
+        )
+        assert len(constraint_sets) > 2
+        cold = ContainingLists.fetch(small_dblp_db.master_index, query)
+        expected = {c: cold._compute_allowed(c) for c in constraint_sets}
+        shared = ContainingLists.fetch(small_dblp_db.master_index, query)
+        seen: list[dict] = []
+        failures: list[str] = []
+        lock = threading.Lock()
+
+        def worker(seed: int) -> None:
+            order = constraint_sets * 4
+            random.Random(seed).shuffle(order)
+            got = {}
+            for constraints in order:
+                allowed = shared.allowed_tos(constraints)
+                if allowed != expected[constraints]:
+                    with lock:
+                        failures.append(f"{constraints}: wrong admission set")
+                got.setdefault(constraints, set()).add(id(allowed))
+            with lock:
+                seen.append(got)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        for constraints in constraint_sets:
+            identities = set().union(*(got[constraints] for got in seen))
+            assert identities == {id(shared.allowed_tos(constraints))}
